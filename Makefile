@@ -16,9 +16,13 @@ race:
 
 # Full static gate: vet plus the repo's analyzer suite (determinism,
 # hot-path allocations, metric/span wiring, shared-state discipline...).
+# zbench is a module of its own that `go build ./...` never compiles, so
+# it is vetted separately (offline, as zbench/run.sh builds it): an API
+# change it depends on fails here rather than at benchmark time.
 check:
 	$(GO) vet ./...
 	$(GO) run ./cmd/zbpcheck ./...
+	GOFLAGS=-mod=readonly GOPROXY=off $(GO) -C zbench vet ./...
 
 # One benchmark-trajectory measurement, printed as JSON. Touches no files.
 bench:

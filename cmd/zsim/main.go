@@ -15,9 +15,8 @@
 //	zsim -config btb2 -resume run.ckpt                # continue after a crash
 //	zsim -file damaged.zbpt -salvage                  # use the valid prefix
 //	zsim -file huge.zbpt -stream                      # constant-memory decode
-//	zsim -config btb2 -batch                          # batched zero-alloc pipeline
 //	zsim -compare -workers 0                          # fan configs across cores
-//	zsim -batch -spans spans.json                     # hierarchical span trace (Perfetto)
+//	zsim -config btb2 -spans spans.json               # hierarchical span trace (Perfetto)
 //	zsim -metrics-addr :9090 -pprof                   # live pprof + runtime metrics
 //	zsim -perfstat gate                               # benchmark regression gate
 //	zsim -list
@@ -72,10 +71,9 @@ func main() {
 		salvage   = flag.Bool("salvage", false, "with -file: tolerate a truncated/corrupt trace tail, simulating the valid prefix")
 
 		workers = flag.Int("workers", 1, "with -compare: fan the three configurations across this many workers (0 = GOMAXPROCS)")
-		batched = flag.Bool("batch", false, "drive the engine through the batched zero-alloc pipeline (bit-identical results; ignored with -resume)")
 		stream  = flag.Bool("stream", false, "with -file: stream the trace from disk through the bulk batch decoder in constant memory (tolerates a damaged tail like -salvage)")
 
-		spansPath = flag.String("spans", "", "write a hierarchical span trace (study/worker/unit/phase/batch, steal instants) to this file: .jsonl = JSON Lines, anything else = Chrome trace_event for Perfetto; routes the run through the batched scheduler")
+		spansPath = flag.String("spans", "", "write a hierarchical span trace (study/worker/unit/phase/batch, steal instants) to this file: .jsonl = JSON Lines, anything else = Chrome trace_event for Perfetto; routes the run through the scheduler")
 		pprofFlag = flag.Bool("pprof", false, "with -metrics-addr: also expose net/http/pprof profiles and /debug/runtime (runtime/metrics as JSON)")
 
 		perfstatMode   = flag.String("perfstat", "", "benchmark-trajectory mode: run (print one entry as JSON), gate (compare against the trajectory baseline, exit 1 on regression), append (measure and append to the trajectory)")
@@ -319,13 +317,13 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("resuming %s from %d instructions\n", ck.Trace, ck.Instructions)
-		r, err = eng.Resume(src, ck)
+		r, err = eng.Resume(context.Background(), src, ck)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "zsim:", err)
 			os.Exit(1)
 		}
 	} else if *spansPath != "" {
-		// Route the run through the traced batched scheduler: the span
+		// Route the run through the traced scheduler: the span
 		// tree covers scheduling, the engine phases and batches, and (with
 		// -stream) the decoder refills. Results stay bit-identical to the
 		// untraced pipeline — the sim package's differential gate pins it.
@@ -343,8 +341,6 @@ func main() {
 			os.Exit(1)
 		}
 		r = res[0]
-	} else if *batched {
-		r = eng.RunBatched(src, *config)
 	} else {
 		r = eng.Run(src, *config)
 	}

@@ -49,7 +49,7 @@ func TestData() string {
 //
 // All fixture packages in one call share a loader and a fact store and
 // are analyzed in argument order, so a fact-exporting analyzer
-// (inertpath) sees facts from earlier fixtures in later ones — list
+// (lockorder, guardedby, packlayout) sees facts from earlier fixtures in later ones — list
 // dependencies before their importers, exactly as the zbpcheck driver
 // schedules real packages.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, fixturePkgs ...string) {

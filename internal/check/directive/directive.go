@@ -16,12 +16,6 @@
 //	    site: equivalent to //zbp:allow determinism <reason>, kept
 //	    distinct so intent is greppable.
 //
-//	//zbp:inert
-//	    On a function declaration's doc comment: the function is on the
-//	    bulk fast path's eligibility scan and must be provably
-//	    side-effect-free; the inertpath analyzer checks its body and
-//	    propagates the claim across packages as an analysis fact.
-//
 //	//zbp:bounded <reason>
 //	    On (or immediately above) a loop with no statically evident
 //	    bound (for {} or range over a channel): asserts termination for
@@ -108,7 +102,6 @@ const (
 	allowPrefix     = "//zbp:allow"
 	wallclockPrefix = "//zbp:wallclock"
 	hotpathPrefix   = "//zbp:hotpath"
-	inertPrefix     = "//zbp:inert"
 	boundedPrefix   = "//zbp:bounded"
 	lockedPrefix    = "//zbp:locked"
 	durablePrefix   = "//zbp:durable"
@@ -222,11 +215,6 @@ func (s *AllowSet) ReportUnused(pass *analysis.Pass) {
 // HasHotpath reports whether fn's doc comment carries //zbp:hotpath.
 func HasHotpath(fn *ast.FuncDecl) bool {
 	return hasDocDirective(fn, hotpathPrefix)
-}
-
-// HasInert reports whether fn's doc comment carries //zbp:inert.
-func HasInert(fn *ast.FuncDecl) bool {
-	return hasDocDirective(fn, inertPrefix)
 }
 
 func hasDocDirective(fn *ast.FuncDecl, want string) bool {

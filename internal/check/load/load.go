@@ -190,7 +190,8 @@ func (l *Loader) LoadTarget(dir, path string) (*Package, error) {
 
 // ModulePackages enumerates every non-test package directory under the
 // module root (skipping vendor/, testdata/, hidden and underscore
-// directories) and fully type-checks each. Directories with no
+// directories, and nested modules, which the go command's ./...
+// excludes too) and fully type-checks each. Directories with no
 // buildable Go files are skipped silently.
 func (l *Loader) ModulePackages() ([]*Package, error) {
 	var dirs []string
@@ -203,7 +204,7 @@ func (l *Loader) ModulePackages() ([]*Package, error) {
 		}
 		name := d.Name()
 		if p != l.ModuleRoot && (name == "vendor" || name == "testdata" ||
-			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || hasGoMod(p)) {
 			return filepath.SkipDir
 		}
 		dirs = append(dirs, p)
@@ -292,4 +293,11 @@ func DependencyOrder(pkgs []*Package) []*Package {
 		visit(p)
 	}
 	return out
+}
+
+// hasGoMod reports whether dir holds a go.mod, making it the root of a
+// module of its own.
+func hasGoMod(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
 }

@@ -3,6 +3,7 @@ package load_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"bulkpreload/internal/check/load"
@@ -64,5 +65,39 @@ func TestDependencyOrder(t *testing.T) {
 			t.Fatalf("%s: order = [%s %s], want [lockdeps/store lockdeps/svc]",
 				name, got[0].PkgPath, got[1].PkgPath)
 		}
+	}
+}
+
+// TestModulePackagesSkipsNestedModules: a directory with a go.mod of
+// its own is another module, so ./... must not treat it as one of this
+// module's packages.
+func TestModulePackagesSkipsNestedModules(t *testing.T) {
+	root := t.TempDir()
+	for name, body := range map[string]string{
+		"go.mod":            "module outer\n",
+		"outer.go":          "package outer\n",
+		"inner/inner.go":    "package inner\n",
+		"nested/go.mod":     "module nested\n",
+		"nested/nested.go":  "package nested\n",
+		"nested/sub/sub.go": "package sub\n",
+	} {
+		p := filepath.Join(root, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := load.New(root, "outer").ModulePackages()
+	if err != nil {
+		t.Fatalf("ModulePackages: %v", err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, p.Types.Path())
+	}
+	if want := []string{"outer", "outer/inner"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ModulePackages = %v, want %v", got, want)
 	}
 }

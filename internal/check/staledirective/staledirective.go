@@ -10,13 +10,12 @@
 //     determinism in a non-critical package, an allow for erring
 //     outside cmd/ and sim) — the suppression is dead on arrival and
 //     silently stops meaning anything;
-//   - a placement no consumer reads: //zbp:hotpath, //zbp:inert,
-//     //zbp:durable, or //zbp:caller-holds anywhere but a function's
-//     doc comment, //zbp:guardedby anywhere but a struct field's
-//     comment, //zbp:wallclock outside the determinism-critical
-//     packages, //zbp:bounded in a package ctxflow does not scan,
-//     //zbp:layout anywhere but a constant declaration's or function's
-//     doc comment.
+//   - a placement no consumer reads: //zbp:hotpath, //zbp:durable, or
+//     //zbp:caller-holds anywhere but a function's doc comment,
+//     //zbp:guardedby anywhere but a struct field's comment,
+//     //zbp:wallclock outside the determinism-critical packages,
+//     //zbp:bounded in a package ctxflow does not scan, //zbp:layout
+//     anywhere but a constant declaration's or function's doc comment.
 //
 // //zbp:layout additionally gets its spec linted here — grammar errors
 // and duplicate field names are this analyzer's diagnostics, so a
@@ -64,7 +63,6 @@ var scopes = map[string]func(pkgPath string) bool{
 	"obsreg":      func(p string) bool { return directive.PkgLastElem(p) != "obs" },
 	"erring":      erring.InScope,
 	"sharedstate": sharedstate.InScope,
-	"inertpath":   everywhere,
 	"ctxflow":     ctxflow.InScope,
 	"lockorder":   everywhere,
 	"guardedby":   everywhere,
@@ -102,8 +100,8 @@ func run(pass *analysis.Pass) (interface{}, error) {
 type docRange struct{ pos, end int }
 
 // funcDocRanges returns the line extents of every doc comment attached
-// to a function that has a body (the only placement hotalloc and
-// inertpath read).
+// to a function that has a body (the only placement hotalloc,
+// durable and the lock analyzers read).
 func funcDocRanges(f *ast.File) []docRange {
 	var out []docRange
 	for _, decl := range f.Decls {
@@ -168,7 +166,7 @@ func checkComment(pass *analysis.Pass, allows *directive.AllowSet, c *ast.Commen
 	}
 	pkg := pass.Pkg.Path()
 	switch kind {
-	case "hotpath", "inert":
+	case "hotpath", "durable", "caller-holds":
 		if !inFuncDoc(c, docs) {
 			allows.Report(pass, c,
 				"stray //zbp:%s: only a function declaration's doc comment is read (by %s); this placement is consumed by no analyzer", kind, consumerOf(kind))
@@ -202,11 +200,6 @@ func checkComment(pass *analysis.Pass, allows *directive.AllowSet, c *ast.Commen
 	case "locked":
 		// Consumed on (or above) a blocking line and in function doc
 		// comments alike; lockorder itself reports the stale ones.
-	case "durable", "caller-holds":
-		if !inFuncDoc(c, docs) {
-			allows.Report(pass, c,
-				"stray //zbp:%s: only a function declaration's doc comment is read (by %s); this placement is consumed by no analyzer", kind, consumerOf(kind))
-		}
 	case "guardedby":
 		if !inFuncDoc(c, fields) {
 			allows.Report(pass, c,
@@ -235,14 +228,12 @@ func checkComment(pass *analysis.Pass, allows *directive.AllowSet, c *ast.Commen
 		}
 	default:
 		allows.Report(pass, c,
-			"unknown //zbp: directive %q; the suite consumes hotpath, allow, wallclock, inert, bounded, locked, guardedby, caller-holds, durable, and layout", kind)
+			"unknown //zbp: directive %q; the suite consumes hotpath, allow, wallclock, bounded, locked, guardedby, caller-holds, durable, and layout", kind)
 	}
 }
 
 func consumerOf(kind string) string {
 	switch kind {
-	case "inert":
-		return "inertpath"
 	case "durable":
 		return "durable"
 	case "caller-holds":

@@ -7,6 +7,8 @@ package directives
 
 //zbp:typo should be rejected // want `unknown //zbp: directive "typo"`
 
+//zbp:inert retired with its analyzer // want `unknown //zbp: directive "inert"`
+
 //zbp:allow nosuch totally convincing reason // want `names unknown analyzer "nosuch"`
 
 //zbp:allow determinism keys are sorted upstream // want `which the determinism analyzer never checks`
@@ -26,14 +28,10 @@ var scratch [64]byte
 //zbp:hotpath // want `stray //zbp:hotpath`
 var spins int
 
-//zbp:inert // want `stray //zbp:inert`
-var pure int
-
-// fast is annotated in the one placement the consumers read: a
+// fast is annotated in the one placement the consumer reads: a
 // function declaration's doc comment. Accepted.
 //
 //zbp:hotpath
-//zbp:inert
 func fast() int { return len(scratch) }
 
 //zbp:durable // want `stray //zbp:durable`

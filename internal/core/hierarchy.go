@@ -657,22 +657,6 @@ func (h *Hierarchy) ObserveComplete(a zaddr.Addr) {
 	}
 }
 
-// ObserveCompleteBatch feeds a run of completed instructions into the
-// steering ordering table in order — the batched twin of
-// ObserveComplete, hoisting the nil check and method dispatch out of
-// the engine's per-record loop. Equivalent to calling ObserveComplete
-// once per record.
-//
-//zbp:hotpath
-func (h *Hierarchy) ObserveCompleteBatch(ins []trace.Inst) {
-	if h.steer == nil {
-		return
-	}
-	for i := range ins {
-		h.steer.ObserveComplete(ins[i].Addr)
-	}
-}
-
 // Contains reports which levels currently hold branch a (diagnostics).
 func (h *Hierarchy) Contains(a zaddr.Addr) (inBTB1, inBTBP, inBTB2 bool) {
 	inBTB1 = h.btb1.Contains(a)

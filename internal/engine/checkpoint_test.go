@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -117,7 +118,7 @@ func TestResumeCompletesRun(t *testing.T) {
 
 	params2 := fastParams()
 	e := New(core.DefaultConfig(), params2)
-	r, err := e.Resume(workload.New(prof), ck)
+	r, err := e.Resume(context.Background(), workload.New(prof), ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestResumeRejectsWrongTrace(t *testing.T) {
 	other := prof
 	other.Name = "some-other-trace"
 	e := New(core.DefaultConfig(), fastParams())
-	if _, err := e.Resume(workload.New(other), ck); err == nil {
+	if _, err := e.Resume(context.Background(), workload.New(other), ck); err == nil {
 		t.Error("Resume accepted a mismatched trace")
 	}
 }
@@ -161,7 +162,7 @@ func TestResumeRejectsShortTrace(t *testing.T) {
 	short := prof
 	short.Instructions = 50_000 // shorter than the checkpoint prefix
 	e := New(core.DefaultConfig(), fastParams())
-	if _, err := e.Resume(workload.New(short), ck); err == nil {
+	if _, err := e.Resume(context.Background(), workload.New(short), ck); err == nil {
 		t.Error("Resume accepted a trace shorter than the checkpoint prefix")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"bulkpreload/internal/core"
 	"bulkpreload/internal/fault"
 	"bulkpreload/internal/obs"
-	"bulkpreload/internal/obs/span"
 	"bulkpreload/internal/predictor"
 	"bulkpreload/internal/stats"
 	"bulkpreload/internal/trace"
@@ -131,16 +130,6 @@ type Engine struct {
 	// checkpoint (0 = checkpointing off).
 	nextCkpt int64
 
-	// spans is Params.Spans hoisted onto the engine for the batched
-	// path. bulkRecords/slowRecords attribute batched records to the
-	// bulk fast path vs the per-record step — plain fields, deliberately
-	// outside Result and the registry so the differential gate's
-	// bit-identical comparison is unaffected; they surface only through
-	// batch span arguments and BatchPathCounts.
-	spans       *span.Recorder
-	bulkRecords int64
-	slowRecords int64
-
 	// Warmup snapshot, subtracted from the result when the trace is long
 	// enough to cross the warmup boundary.
 	warmTaken      bool
@@ -203,9 +192,6 @@ func (e *Engine) reset() {
 	if e.params.CheckpointInterval > 0 {
 		e.nextCkpt = e.params.CheckpointInterval
 	}
-	e.spans = e.params.Spans
-	e.bulkRecords = 0
-	e.slowRecords = 0
 	e.buildRegistry()
 }
 
@@ -259,32 +245,6 @@ func (e *Engine) snapshot() {
 
 // Hierarchy exposes the predictor under test (diagnostics).
 func (e *Engine) Hierarchy() *core.Hierarchy { return e.hier }
-
-// BatchPathCounts reports how many records of the current batched run
-// took the bulk fast path vs the per-record slow path. Both are zero
-// for serial (Run) executions; the sum equals the raw record count
-// before warmup subtraction.
-func (e *Engine) BatchPathCounts() (bulk, slow int64) { return e.bulkRecords, e.slowRecords }
-
-// Run simulates src to completion under configName and returns the
-// result. The engine state is reset first, so one Engine can run several
-// traces sequentially (each from power-on state).
-func (e *Engine) Run(src trace.Source, configName string) Result {
-	e.reset()
-	src.Reset()
-	e.res.Trace = src.Name()
-	e.res.Config = configName
-	//zbp:bounded terminates when src.Next reports end-of-trace
-	for {
-		in, ok := src.Next()
-		if !ok {
-			break
-		}
-		e.step(in)
-	}
-	e.finishResult()
-	return e.res
-}
 
 func (e *Engine) finishResult() {
 	// Capture registry state before the warmup subtraction below mutates
@@ -463,10 +423,6 @@ func (e *Engine) searchRow() bool {
 		if anchor, miss := e.missDet.ObserveSearch(probe, found); miss {
 			e.hier.ReportBTB1Miss(anchor, e.now())
 		}
-	}
-	if found && e.searchLine > zaddr.RowBase(probe) {
-		// Defensive: cannot happen (probe derives from searchLine).
-		return false
 	}
 	e.searchLine += zaddr.RowBytes
 	e.searchOffset = 0

@@ -123,10 +123,10 @@ type Params struct {
 	CheckpointSink func(*Checkpoint) `json:"-"`
 
 	// Spans, when non-nil, receives hierarchical span events from the
-	// batched stepping path: one phase span per warmup/steady region and
-	// one batch span per StepBatch call, with bulk/slow fast-path
-	// attribution. The recorder is goroutine-local like the obs registry
-	// — it must belong to the goroutine calling RunBatched. Span data
+	// run loop: one phase span per warmup/steady region and one batch
+	// span per batch of records stepped, carrying its record count. The
+	// recorder is goroutine-local like the obs registry — it must belong
+	// to the goroutine calling Run, RunContext or Resume. Span data
 	// measures host wall time and never reaches Result or the metrics
 	// registry (the serial-oracle differential gate compares those
 	// bit-for-bit). Nil disables tracing at zero cost.

@@ -111,7 +111,7 @@ func runKill9(h *harness) error {
 	params.CheckpointInterval = kill9CheckpointInterval
 	params.CheckpointSink = func(*engine.Checkpoint) {}
 	oracle, err := engine.New(unit.Config, params).
-		ResumeContext(context.Background(), unit.NewSource(), ck, engine.DefaultCancelPoll)
+		Resume(context.Background(), unit.NewSource(), ck)
 	if err != nil {
 		return fmt.Errorf("oracle resume: %w", err)
 	}

@@ -45,7 +45,7 @@ const (
 	KindWorker             // one shard worker's lifetime
 	KindUnit               // one simulation unit on its worker
 	KindPhase              // engine phase: warmup or steady
-	KindBatch              // one StepBatch call
+	KindBatch              // one batch of records stepped by the engine run loop
 	KindRefill             // one FileSource batch refill (disk read + decode)
 	KindSteal              // instant: a successful steal (loot count, victim)
 	numKinds
@@ -87,7 +87,7 @@ func (k Kind) ArgNames() (string, string) {
 	case KindPhase:
 		return "instructions", ""
 	case KindBatch:
-		return "bulk_records", "slow_records"
+		return "records", ""
 	case KindRefill:
 		return "records", ""
 	case KindSteal:

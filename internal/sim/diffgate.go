@@ -12,11 +12,10 @@ import (
 )
 
 // The serial-oracle differential gate. Speed is worthless if it changes
-// results: every batching and scheduling optimization in this package
-// must be invisible in the output. VerifyDifferential runs the same
-// units through the single-threaded record-at-a-time oracle
-// (RunUnitsSerial) and the work-stealing batched pipeline (RunUnits)
-// and demands bit-identical results — every Result field, every metric
+// results: every scheduling optimization in this package must be
+// invisible in the output. VerifyDifferential runs the same units
+// through the single-threaded oracle (RunUnitsSerial) and the
+// work-stealing pipeline (RunUnits) and demands bit-identical results — every Result field, every metric
 // in the final registry snapshot, every interval snapshot. The
 // differential test suite and the `diffgate` experiment both sit on
 // this entry point.

@@ -121,7 +121,7 @@ func checkpointLeg(u *Unit, ckptEvery int64) (out []string, err error) {
 	resume := func(structLayout bool, ck *engine.Checkpoint) (engine.Result, error) {
 		cfg := u.Config
 		cfg.StructLayout = structLayout
-		return engine.New(cfg, u.Params).Resume(u.NewSource(), ck)
+		return engine.New(cfg, u.Params).Resume(context.Background(), u.NewSource(), ck)
 	}
 	packedRes, err := resume(false, structCk)
 	if err != nil {

@@ -17,12 +17,12 @@ import (
 	"bulkpreload/internal/workload"
 )
 
-// The sharded batch pipeline: every study decomposes into independent
+// The sharded pipeline: every study decomposes into independent
 // (config, trace) simulation units; RunUnits fans them across a
-// work-stealing worker pool where each worker drives the engine's
-// batched stepping path, and RunUnitsSerial keeps the single-threaded
-// record-at-a-time reference path alive as the differential oracle
-// (see diffgate.go). Unit i's result lands in slot i of the returned
+// work-stealing worker pool, and RunUnitsSerial runs them one after
+// another on the calling goroutine as the differential oracle (see
+// diffgate.go). Both drive the same engine entry point, so they differ
+// only in scheduling. Unit i's result lands in slot i of the returned
 // slice regardless of which worker ran it or in what order, so both
 // paths produce identical output layouts.
 
@@ -50,15 +50,15 @@ func ProfileUnit(p workload.Profile, cfg core.Config, params engine.Params, conf
 }
 
 // RunUnitsSerial is the serial oracle: every unit runs in index order,
-// on the calling goroutine, through the engine's record-at-a-time Run
-// loop. It is deliberately boring — the differential gate trusts it.
+// on the calling goroutine, with no queues, stealing or tracing. It is
+// deliberately boring — the differential gate trusts it.
 // A panicking unit leaves its Result zero-valued and is reported in the
 // returned error; later units still run.
 func RunUnitsSerial(units []Unit) ([]engine.Result, error) {
 	out := make([]engine.Result, len(units))
 	var errs []error
 	for i := range units {
-		if _, _, err := runOneUnit(&units[i], &out[i], i, false, nil, 0); err != nil {
+		if err := runOneUnit(&units[i], &out[i], i, nil, 0); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -66,13 +66,11 @@ func RunUnitsSerial(units []Unit) ([]engine.Result, error) {
 }
 
 // runOneUnit executes one unit into *res, converting a panic into an
-// error carrying the unit index, label, and stack. batched selects the
-// engine entry point: RunBatched (parallel pipeline) or Run (oracle).
-// A non-nil rec threads span tracing through the engine's batched path
-// and the unit's FileSource (if that is what NewSource builds), with
-// the engine's phase spans attached under parent. bulk/slow report the
-// engine's batch fast-path attribution (zero for the serial path).
-func runOneUnit(u *Unit, res *engine.Result, i int, batched bool, rec *span.Recorder, parent span.ID) (bulk, slow int64, err error) {
+// error carrying the unit index, label, and stack. A non-nil rec threads
+// span tracing through the engine and the unit's FileSource (if that is
+// what NewSource builds), with the engine's phase spans attached under
+// parent.
+func runOneUnit(u *Unit, res *engine.Result, i int, rec *span.Recorder, parent span.ID) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sim: unit %d (%s) panicked: %v\n%s", i, u.Label, r, debug.Stack())
@@ -88,13 +86,8 @@ func runOneUnit(u *Unit, res *engine.Result, i int, batched bool, rec *span.Reco
 	if fs, ok := src.(*trace.FileSource); ok && rec.Enabled() {
 		fs.SetSpans(rec, parent)
 	}
-	if batched {
-		*res = eng.RunBatched(src, u.ConfigName)
-	} else {
-		*res = eng.Run(src, u.ConfigName)
-	}
-	bulk, slow = eng.BatchPathCounts()
-	return bulk, slow, nil
+	*res = eng.Run(src, u.ConfigName)
+	return nil
 }
 
 // ShardStats describes one RunUnits invocation: how the units spread
@@ -130,8 +123,6 @@ type schedWorker struct {
 	unitsStolen   obs.Counter   // units this worker took from victims
 	stealAttempts obs.Counter   // victim scans, successful or not
 	instructions  obs.Counter   // instructions simulated by this worker
-	bulkRecords   obs.Counter   // batched records that took the bulk fast path
-	slowRecords   obs.Counter   // batched records stepped one at a time
 	busyNanos     obs.Counter   // wall nanoseconds spent inside runOneUnit
 	queueDepth    obs.Histogram // local run-queue depth after each pop
 }
@@ -143,8 +134,6 @@ func (w *schedWorker) registry() *obs.Registry {
 	reg.Counter("sched_units_stolen_total", "units", "units stolen from other workers' queues", &w.unitsStolen)
 	reg.Counter("sched_steal_attempts_total", "scans", "victim-queue scans when the local queue drained", &w.stealAttempts)
 	reg.Counter("sched_instructions_total", "instructions", "instructions simulated by this worker", &w.instructions)
-	reg.Counter("sched_bulk_records_total", "records", "batched records taking the engine's bulk fast path", &w.bulkRecords)
-	reg.Counter("sched_slow_records_total", "records", "batched records stepped through the per-record path", &w.slowRecords)
 	reg.Counter("sched_busy_nanos_total", "nanoseconds", "wall time this worker spent executing units", &w.busyNanos)
 	w.queueDepth.SetBounds(0, 1, 2, 4, 8, 16, 32, 64)
 	reg.Histogram("sched_queue_depth", "units", "local run-queue depth observed after each pop", &w.queueDepth)
@@ -208,9 +197,8 @@ func (w *unitQueue) push(is []int) {
 	w.mu.Unlock()
 }
 
-// RunUnits runs every unit through the batched engine path across a
-// work-stealing pool of workers goroutines (workers <= 0 selects
-// GOMAXPROCS). Unit i's result is always out[i]; because units are
+// RunUnits runs every unit across a work-stealing pool of workers
+// goroutines (workers <= 0 selects GOMAXPROCS). Unit i's result is always out[i]; because units are
 // independent and each owns its engine, source, and obs registry, the
 // results are bit-identical to RunUnitsSerial no matter how the steals
 // interleave — the differential gate in diffgate.go enforces exactly
@@ -271,7 +259,7 @@ func RunUnitsTraced(ctx context.Context, workers int, units []Unit, tr *span.Tra
 	}
 
 	if workers == 1 {
-		// Degenerate pool: same batched path, calling goroutine, no
+		// Degenerate pool: same engine path, calling goroutine, no
 		// queues to steal from. This is the workers=1 leg of the
 		// deterministic-interleaving tests.
 		w := &schedWorker{}
@@ -286,7 +274,7 @@ func RunUnitsTraced(ctx context.Context, workers int, units []Unit, tr *span.Tra
 			w.queueDepth.Observe(int64(n - 1 - i))
 			us := wrec.Start(span.KindUnit, units[i].Label, ws.ID())
 			t0 := wallStart()
-			bulk, slow, err := runOneUnit(&units[i], &out[i], i, true, wrec, us.ID())
+			err := runOneUnit(&units[i], &out[i], i, wrec, us.ID())
 			w.busyNanos.Add(wallElapsed(t0))
 			us.EndArgs(out[i].Instructions, 0)
 			if err != nil {
@@ -295,8 +283,6 @@ func RunUnitsTraced(ctx context.Context, workers int, units []Unit, tr *span.Tra
 			}
 			w.unitsRun.Inc()
 			w.instructions.Add(out[i].Instructions)
-			w.bulkRecords.Add(bulk)
-			w.slowRecords.Add(slow)
 		}
 		ws.EndArgs(w.unitsRun.Value(), 0)
 		tr.Adopt(wrec)
@@ -379,7 +365,7 @@ func RunUnitsTraced(ctx context.Context, workers int, units []Unit, tr *span.Tra
 				}
 				us := wrec.Start(span.KindUnit, units[i].Label, ws.ID())
 				t0 := wallStart()
-				bulk, slow, err := runOneUnit(&units[i], &out[i], i, true, wrec, us.ID())
+				err := runOneUnit(&units[i], &out[i], i, wrec, us.ID())
 				worker.busyNanos.Add(wallElapsed(t0))
 				us.EndArgs(out[i].Instructions, 0)
 				if err != nil {
@@ -388,8 +374,6 @@ func RunUnitsTraced(ctx context.Context, workers int, units []Unit, tr *span.Tra
 				}
 				worker.unitsRun.Inc()
 				worker.instructions.Add(out[i].Instructions)
-				worker.bulkRecords.Add(bulk)
-				worker.slowRecords.Add(slow)
 			}
 		}(w)
 	}

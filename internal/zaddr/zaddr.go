@@ -69,8 +69,6 @@ func SetBits(a Addr, hi, lo uint, v uint64) Addr {
 func RowIndex(a Addr) uint64 { return uint64(a) / RowBytes }
 
 // RowBase returns the lowest address of the 32-byte row containing a.
-//
-//zbp:inert
 func RowBase(a Addr) Addr { return a &^ (RowBytes - 1) }
 
 // RowOffset returns a's byte offset within its 32-byte row (bits 59:63).
@@ -109,8 +107,6 @@ func SectorBase(a Addr, s int) Addr {
 func NextRow(a Addr) Addr { return RowBase(a) + RowBytes }
 
 // Align truncates a to a multiple of n (n must be a power of two).
-//
-//zbp:inert
 func Align(a Addr, n uint64) Addr {
 	if n == 0 || n&(n-1) != 0 {
 		panic("zaddr: Align size must be a power of two")

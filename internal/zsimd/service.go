@@ -311,7 +311,7 @@ func (s *Service) execute(job jobq.Job, rec *span.Recorder, parent span.ID) (res
 		if ck, cerr := engine.ReadCheckpointFile(s.q.CheckpointPath(job.ID)); cerr == nil {
 			s.q.MarkResumedFrom(job.ID, ck.Instructions)
 			s.m.resumed()
-			return eng.ResumeContext(ctx, src, ck, engine.DefaultCancelPoll)
+			return eng.Resume(ctx, src, ck)
 		}
 	}
 	s.q.MarkResumedFrom(job.ID, 0)

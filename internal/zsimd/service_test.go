@@ -161,7 +161,7 @@ func TestShutdownDrainCheckpointsAndNextIncarnationResumes(t *testing.T) {
 	}
 	shutdownNow(t, s2)
 
-	// Serial oracle: same spec, same checkpoint, plain ResumeContext on
+	// Serial oracle: same spec, same checkpoint, plain Resume on
 	// a fresh engine — the recovered service result must match it
 	// byte-for-byte in persisted form.
 	var spec sim.Spec
@@ -176,7 +176,7 @@ func TestShutdownDrainCheckpointsAndNextIncarnationResumes(t *testing.T) {
 	params.CheckpointInterval = cfg.CheckpointInterval
 	params.CheckpointSink = func(*engine.Checkpoint) {}
 	oracle := engine.New(unit.Config, params)
-	want, err := oracle.ResumeContext(context.Background(), unit.NewSource(), ck, engine.DefaultCancelPoll)
+	want, err := oracle.Resume(context.Background(), unit.NewSource(), ck)
 	if err != nil {
 		t.Fatal(err)
 	}
